@@ -13,10 +13,10 @@ import (
 )
 
 // Server exposes an Engine over HTTP: wire-level ingest on the
-// collector's /v1/views contract (binary batch frames or the JSONL
+// sensors' /v1/views contract (binary batch frames or the JSONL
 // fallback, either one gzip-compressed — see wire.DecodeBody), the
 // query API over the published generation, an admin snapshot trigger,
-// and the shared observability surface (metrics, trace, debug).
+// and the shared observability surface (metrics, series, trace).
 type Server struct {
 	engine *Engine
 	tracer *obs.Tracer
@@ -75,7 +75,6 @@ func NewServer(e *Engine) *Server {
 //	GET  /metrics                 — same registry, Prometheus text format
 //	GET  /v1/series               — in-process time series (snapshots + rates)
 //	GET  /v1/trace                — recent spans, per-stage latency, event tail
-//	GET  /debug/vmp               — metrics + trace combined
 //	GET  /healthz                 — liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -115,79 +115,106 @@ func TestServerIngestAndQuery(t *testing.T) {
 
 func TestServerBadRequests(t *testing.T) {
 	_, srv, _ := newTestServer(t, Config{Shards: 2})
-	for path, wantStatus := range map[string]int{
-		"/v1/query/share?dim=bogus":                http.StatusBadRequest,
-		"/v1/query/top-publishers?n=-1":            http.StatusBadRequest,
-		"/v1/query/window":                         http.StatusBadRequest,
-		"/v1/query/window?start=not-a-date":        http.StatusBadRequest,
-		"/v1/query/window?start=2016-01-01&days=x": http.StatusBadRequest,
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/query/share?dim=bogus", http.StatusBadRequest},
+		{http.MethodGet, "/v1/query/top-publishers?n=-1", http.StatusBadRequest},
+		{http.MethodGet, "/v1/query/window", http.StatusBadRequest},
+		{http.MethodGet, "/v1/query/window?start=not-a-date", http.StatusBadRequest},
+		{http.MethodGet, "/v1/query/window?start=2016-01-01&days=x", http.StatusBadRequest},
+		{http.MethodGet, "/v1/views", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/snapshot", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/stats", http.StatusMethodNotAllowed},
 	} {
-		resp, err := srv.Client().Get(srv.URL + path)
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, wantStatus)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
 	}
-	// Method checks.
-	resp, err := srv.Client().Get(srv.URL + "/v1/views")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/views = %d", resp.StatusCode)
-	}
-	resp, err = srv.Client().Get(srv.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/snapshot = %d", resp.StatusCode)
-	}
 }
 
+// TestServerOversizedLine pins line-level rejection on the JSONL path.
+// Lines that fail to parse or lack a publisher are counted and the
+// rest of the batch is admitted; a line over wire.MaxLineBytes cuts the
+// stream short and rejects the whole batch. Each case also pins the
+// exact /v1/stats bytes, key order included, which load generators
+// parse.
 func TestServerOversizedLine(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 2})
-	var buf bytes.Buffer
-	if err := telemetry.EncodeJSONL(&buf, genRecords(3)); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString(strings.Repeat("y", telemetry.MaxLineBytes+1) + "\n")
-	resp, err := srv.Client().Post(srv.URL+"/v1/views", "application/x-ndjson", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %s, want 400", resp.Status)
-	}
-	if got := e.Metrics().Counter("live_ingest_scan_errors_total").Load(); got != 1 {
-		t.Fatalf("scan_errors = %d, want 1", got)
-	}
-	if got := e.Metrics().Counter("live_ingest_rejected_total").Load(); got != 3 {
-		t.Fatalf("rejected = %d, want 3 (the cut-short batch)", got)
-	}
-	if g := e.Snapshot(); g.Records != 0 {
-		t.Fatalf("failed batch leaked %d records into the epoch", g.Records)
+	for _, tc := range []struct {
+		name       string
+		good       int
+		tail       string
+		wantStatus int
+		wantBody   string
+		wantStats  string
+	}{
+		{
+			name:       "malformed_and_no_publisher",
+			good:       2,
+			tail:       "garbage\n{\"viewsec\":3}\n",
+			wantStatus: http.StatusAccepted,
+			wantBody:   `{"accepted":2,"backpressured":0,"rejected":2}` + "\n",
+			wantStats:  `{"epoch":1,"records":2,"ingested":2,"backpressured":0,"rejected":2,"scan_errors":0,"queued_batches":0}` + "\n",
+		},
+		{
+			name:       "oversized_line",
+			good:       3,
+			tail:       strings.Repeat("y", wire.MaxLineBytes+1) + "\n",
+			wantStatus: http.StatusBadRequest,
+			wantStats:  `{"epoch":1,"records":0,"ingested":0,"backpressured":0,"rejected":3,"scan_errors":1,"queued_batches":0}` + "\n",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, srv, e := newTestServer(t, Config{Shards: 2})
+			var buf bytes.Buffer
+			if err := telemetry.EncodeJSONL(&buf, genRecords(tc.good)); err != nil {
+				t.Fatal(err)
+			}
+			buf.WriteString(tc.tail)
+			resp, err := srv.Client().Post(srv.URL+"/v1/views", "application/x-ndjson", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status = %s, want %d", resp.Status, tc.wantStatus)
+			}
+			if tc.wantBody != "" && string(body) != tc.wantBody {
+				t.Fatalf("body = %q, want %q", body, tc.wantBody)
+			}
+			e.Snapshot()
+			if got := getBody(t, srv.Client(), srv.URL+"/v1/stats"); string(got) != tc.wantStats {
+				t.Fatalf("/v1/stats = %q, want %q", got, tc.wantStats)
+			}
+		})
 	}
 }
 
-func TestServerBackpressure429(t *testing.T) {
-	_, srv, e := newTestServer(t, Config{Shards: 1, QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
+// saturate fills a one-shard, QueueDepth-1 server: it holds the
+// shard's pending lock so the consumer stalls on the first batch it
+// pulls, then queues a second batch behind it, so the next POST is
+// answered 429. The returned func releases the shard early; test
+// cleanup releases it otherwise.
+func saturate(t *testing.T, srv *httptest.Server, e *Engine) (release func()) {
+	t.Helper()
 	sh := e.shards[0]
 	sh.mu.Lock()
-	released := false
-	defer func() {
-		if !released {
-			sh.mu.Unlock()
-		}
-	}()
+	var once sync.Once
+	release = func() { once.Do(sh.mu.Unlock) }
+	t.Cleanup(release)
 
-	recs := genRecords(30)
+	recs := genRecords(20)
 	resp := postViews(t, srv.Client(), srv.URL, recs[0:10])
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
@@ -204,7 +231,14 @@ func TestServerBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("second batch = %s", resp.Status)
 	}
-	resp = postViews(t, srv.Client(), srv.URL, recs[20:30])
+	return release
+}
+
+func TestServerBackpressure429(t *testing.T) {
+	_, srv, e := newTestServer(t, Config{Shards: 1, QueueDepth: 1, RetryAfter: 1500 * time.Millisecond})
+	saturate(t, srv, e)
+
+	resp := postViews(t, srv.Client(), srv.URL, genRecords(30)[20:30])
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -216,8 +250,38 @@ func TestServerBackpressure429(t *testing.T) {
 	if !strings.Contains(string(body), `"backpressured":10`) || !strings.Contains(string(body), `"retry_after_ms":1500`) {
 		t.Fatalf("backpressure body = %s", body)
 	}
-	released = true
-	sh.mu.Unlock()
+}
+
+// TestSensorBackpressureKeepsBatch checks the client half of the
+// backpressure contract: a telemetry.Sensor answered 429 returns an
+// error from Flush and keeps the whole batch pending, and once the
+// queue drains the same batch lands with nothing dropped.
+func TestSensorBackpressureKeepsBatch(t *testing.T) {
+	_, srv, e := newTestServer(t, Config{Shards: 1, QueueDepth: 1})
+	release := saturate(t, srv, e)
+
+	sensor := telemetry.NewSensor(srv.URL+"/v1/views", srv.Client(), 100)
+	for _, r := range genRecords(30)[20:30] {
+		if err := sensor.Report(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := sensor.Flush()
+	if err == nil || !strings.Contains(err.Error(), "429") {
+		t.Fatalf("Flush against a full queue = %v, want a 429 error", err)
+	}
+	if sensor.Pending() != 10 {
+		t.Fatalf("pending = %d after a 429, want 10", sensor.Pending())
+	}
+
+	release()
+	e.Flush()
+	if err := sensor.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if g := e.Snapshot(); g.Records != 30 || sensor.Pending() != 0 {
+		t.Fatalf("after retry: stored=%d pending=%d, want 30 and 0", g.Records, sensor.Pending())
+	}
 }
 
 // TestServerMixedWorkloadRace drives concurrent ingest, queries,

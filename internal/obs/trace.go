@@ -338,41 +338,13 @@ func (t *Tracer) Handler() http.Handler {
 	})
 }
 
-// DebugSnapshot is the /debug/vmp payload: one page with everything —
-// aggregate metrics (counters, queue-depth gauges, latency
-// histograms) next to the trace's per-stage decomposition, recent
-// spans, and the event tail.
-type DebugSnapshot struct {
-	Metrics Snapshot      `json:"metrics"`
-	Trace   TraceSnapshot `json:"trace"`
-}
-
-// DebugHandler serves the combined operational snapshot on GET.
-func DebugHandler(reg *Registry, tr *Tracer) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		snap := DebugSnapshot{Metrics: reg.Snapshot(), Trace: tr.Snapshot()}
-		buf, err := json.Marshal(snap)
-		if err != nil {
-			http.Error(w, "encode error", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(append(buf, '\n'))
-	})
-}
-
-// Mount registers the shared observability surface on mux — the one
-// substrate both daemons (vmpd and vmpcollector) report through:
+// Mount registers the shared observability surface on mux — the
+// substrate vmpd reports through:
 //
 //	GET /v1/metrics — registry snapshot (counters, gauges, histograms) as JSON
 //	GET /metrics    — the same registry in Prometheus text exposition format
 //	GET /v1/series  — the in-process time series (recent registry snapshots + rates)
 //	GET /v1/trace   — recent spans, per-stage latency, event tail
-//	GET /debug/vmp  — metrics and trace combined
 //
 // A nil series mounts an empty ring, so the endpoint shape is the same
 // whether or not the daemon runs a Sampler.
@@ -384,5 +356,4 @@ func Mount(mux *http.ServeMux, reg *Registry, tr *Tracer, series *SeriesRing) {
 	mux.Handle("/metrics", PromHandler(reg))
 	mux.Handle("/v1/series", series.Handler())
 	mux.Handle("/v1/trace", tr.Handler())
-	mux.Handle("/debug/vmp", DebugHandler(reg, tr))
 }

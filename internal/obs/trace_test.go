@@ -238,6 +238,9 @@ func TestTraceHandlerJSON(t *testing.T) {
 	}
 }
 
+// TestMountAndDebugHandler checks Mount serves the four observability
+// paths over one registry and tracer, and that the retired combined
+// page, /debug/vmp, is no longer mounted.
 func TestMountAndDebugHandler(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("live_ingest_records_total").Add(7)
@@ -249,7 +252,8 @@ func TestMountAndDebugHandler(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	for _, path := range []string{"/v1/metrics", "/v1/trace", "/debug/vmp", "/v1/series"} {
+	get := func(path string) (int, []byte) {
+		t.Helper()
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -257,29 +261,33 @@ func TestMountAndDebugHandler(t *testing.T) {
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
 		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		return resp.StatusCode, buf.Bytes()
+	}
+	for _, path := range []string{"/v1/metrics", "/metrics", "/v1/series", "/v1/trace"} {
+		if code, _ := get(path); code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
 		}
-		var v any
-		if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
-			t.Fatalf("GET %s: invalid JSON: %v", path, err)
-		}
+	}
+	if code, _ := get("/debug/vmp"); code != http.StatusNotFound {
+		t.Fatalf("GET /debug/vmp: status %d, want 404", code)
 	}
 
-	var dbg DebugSnapshot
-	resp, err := http.Get(srv.URL + "/debug/vmp")
-	if err != nil {
-		t.Fatal(err)
+	var metrics Snapshot
+	if _, body := get("/v1/metrics"); json.Unmarshal(body, &metrics) != nil ||
+		metrics.Counters["live_ingest_records_total"] != 7 {
+		t.Fatalf("/v1/metrics: %s", body)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	if err := json.NewDecoder(resp.Body).Decode(&dbg); err != nil {
-		t.Fatal(err)
+	if _, body := get("/metrics"); !bytes.Contains(body, []byte("\nlive_ingest_records_total 7\n")) {
+		t.Fatalf("/metrics: %s", body)
 	}
-	if dbg.Metrics.Counters["live_ingest_records_total"] != 7 {
-		t.Fatalf("debug metrics: %+v", dbg.Metrics.Counters)
+	var series SeriesSnapshot
+	if _, body := get("/v1/series"); json.Unmarshal(body, &series) != nil {
+		t.Fatalf("/v1/series: %s", body)
 	}
-	if dbg.Trace.SpansTotal != 1 || dbg.Trace.Spans[0].Name != "epoch.cut" {
-		t.Fatalf("debug trace: %+v", dbg.Trace)
+	var trace TraceSnapshot
+	if _, body := get("/v1/trace"); json.Unmarshal(body, &trace) != nil ||
+		trace.SpansTotal != 1 || trace.Spans[0].Name != "epoch.cut" {
+		t.Fatalf("/v1/trace: %s", body)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package telemetry reproduces the measurement substrate of the study:
 // the per-view metadata records a Conviva-style monitoring library
 // reports from inside publishers' players (§3), an in-memory store that
-// supports the snapshot queries the analyses run, and an HTTP collector
-// backend with a client sensor for wire-level ingestion.
+// supports the snapshot queries the analyses run, and the client
+// sensor that posts records to vmpd's ingest endpoint.
 package telemetry
 
 import (

@@ -2,7 +2,7 @@
 // schema every layer of the pipeline speaks. It is a leaf package with
 // no intra-module dependencies so that both the storage/analysis
 // substrate (internal/telemetry) and the wire codecs (internal/wire)
-// can share the type without an import cycle: telemetry's collector
+// can share the type without an import cycle: the serving plane
 // ingests through wire's negotiated decoders, and wire's binary frames
 // decode straight into this layout.
 package record

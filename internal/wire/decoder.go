@@ -29,9 +29,8 @@ var errTruncated = errors.New("wire: truncated frame")
 //
 // Ownership contract: the slice DecodeAll returns (and the structs in
 // it) is valid only until the next DecodeAll call on the same
-// decoder. Both ingest paths copy records out synchronously (the live
-// engine partitions into per-shard slices inside Ingest, the
-// collector's Store.Append copies into its backing array), which is
+// decoder. The ingest path copies records out synchronously (the live
+// engine partitions into per-shard slices inside Ingest), which is
 // what makes the reuse safe. A Decoder is not safe for concurrent
 // use; pool decoders per request instead.
 type Decoder struct {

@@ -18,8 +18,7 @@
 // Transport negotiation lives here too: DecodeBody picks the decoder
 // from Content-Type (application/vnd.vmp.batch versus the JSONL
 // fallback) and transparently decompresses Content-Encoding: gzip, so
-// vmpd's serving plane and the vmpcollector backend share one decode
-// path.
+// vmpd's serving plane has one decode path for every encoding.
 package wire
 
 import "errors"

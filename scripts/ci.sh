@@ -46,9 +46,11 @@ stage smoke-crash make smoke-crash
 # bench-wire-report materializes the wire-path benchmark numbers as a
 # CI artifact: codec encode/decode, JSONL scan, and the HTTP loopback
 # ingest variants that back BENCH_live_ingest.json. The stage fails
-# only if a benchmark errors; throughput regressions show up in the
-# artifact diff, not as a red build on a noisy shared runner.
-stage bench-wire-report sh -c 'make bench-wire > bench_wire_report.txt 2>&1 && test -s bench_wire_report.txt && cat bench_wire_report.txt'
+# if a benchmark errors or the JSONL scan baseline printed no result
+# line (a benchmark that no longer matches -bench runs nothing and
+# passes silently); throughput regressions show up in the artifact
+# diff, not as a red build on a noisy shared runner.
+stage bench-wire-report sh -c 'make bench-wire > bench_wire_report.txt 2>&1 && cat bench_wire_report.txt && grep -q "^BenchmarkScanJSONL" bench_wire_report.txt'
 
 if [ -n "$failed" ]; then
 	echo "ci: failed stages:$failed"
