@@ -76,9 +76,11 @@ bench-wire:
 	$(GO) test -run xxx -bench BenchmarkHTTPIngest -benchmem ./internal/live/
 
 # bench-wal measures the durability tax: WAL-backed append throughput
-# under each fsync policy (batch, interval, off) plus raw replay
-# records/s, and the end-to-end HTTP ingest rate with the WAL attached.
-# The numbers live in BENCH_wal.json; group-commit (interval) must
+# under each fsync policy (batch, interval, off), each reporting
+# fsyncs/op from wal_fsync_total (a 4-part batch is one segment record,
+# so 1 under batch), plus raw replay records/s, and the end-to-end HTTP
+# ingest rate with the WAL attached. BENCH_wal.json holds the numbers
+# measured on the earlier per-shard log; group-commit (interval) must
 # sustain at least half of BENCH_live_ingest.json's binary HTTP rate,
 # and fsync=off must be within noise of running without a WAL at all.
 .PHONY: bench-wal

@@ -39,9 +39,10 @@ var ErrClosed = errors.New("live: engine closed")
 // before the records enter the shard queues: an error means the batch
 // must be rejected whole (the handler returns 503 and the client
 // retries), so acknowledgement implies the WAL has the records.
-// Bounds reports the last sequence appended per shard; the engine
-// reads it under the same admission lock that quiesces appends while
-// an epoch flushes, making the reading exact. Commit hands a freshly
+// Bounds reports the WAL's position — for *wal.Log, the one-element
+// slice holding the last sequence appended; the engine reads it under
+// the same admission lock that quiesces appends while an epoch
+// flushes, making the reading exact. Commit hands a freshly
 // published generation back so the WAL can checkpoint it and truncate
 // the segments it covers; a Commit error is counted, not fatal — the
 // WAL keeps growing but loses nothing.

@@ -22,11 +22,10 @@ import (
 
 var _ WAL = (*wal.Log)(nil)
 
-func openTestWAL(t *testing.T, dir string, shards int) *wal.Log {
+func openTestWAL(t *testing.T, dir string) *wal.Log {
 	t.Helper()
 	l, err := wal.Open(wal.Options{
 		Dir:    dir,
-		Shards: shards,
 		Policy: wal.PolicyBatch,
 		Clock:  simclock.NewManual(simclock.StudyStart),
 	})
@@ -111,7 +110,7 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(2000)
 
-	wlog := openTestWAL(t, dir, 4)
+	wlog := openTestWAL(t, dir)
 	crashed := NewEngine(Config{Shards: 4, Clock: simclock.NewManual(simclock.StudyStart), WAL: wlog})
 	srv := httptest.NewServer(NewServer(crashed).Handler())
 	for lo := 0; lo < len(recs); lo += 500 {
@@ -138,7 +137,7 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 
 	// Recovery: reopen the directory, replay through Ingest, attach,
 	// cut the boot epoch — vmpd's exact boot sequence.
-	wlog2 := openTestWAL(t, dir, 4)
+	wlog2 := openTestWAL(t, dir)
 	rebuilt := newTestEngine(t, Config{Shards: 4})
 	replayInto(t, wlog2, rebuilt)
 	rebuilt.AttachWAL(wlog2)
@@ -173,7 +172,7 @@ func TestWALKillPointCrashConsistency(t *testing.T) {
 func TestWALReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	recs := genRecords(1200)
-	wlog := openTestWAL(t, dir, 4)
+	wlog := openTestWAL(t, dir)
 	e := newTestEngine(t, Config{Shards: 4, WAL: wlog})
 	mustIngest(t, e, recs[:700])
 	e.Snapshot() // commit + truncate: replay must cross the checkpoint
@@ -206,7 +205,6 @@ func TestWALCommitTruncatesOnEpoch(t *testing.T) {
 	reg := obs.NewRegistry()
 	wlog, err := wal.Open(wal.Options{
 		Dir:     dir,
-		Shards:  4,
 		Policy:  wal.PolicyBatch,
 		Clock:   simclock.NewManual(simclock.StudyStart),
 		Metrics: reg,
@@ -245,15 +243,17 @@ type errWAL struct{}
 func (w *errWAL) AppendBatch([][]telemetry.ViewRecord, obs.SpanID) error {
 	return errors.New("disk on fire")
 }
-func (w *errWAL) Bounds() []uint64                                                 { return make([]uint64, 4) }
+func (w *errWAL) Bounds() []uint64                                                 { return make([]uint64, 1) }
 func (w *errWAL) Commit(int64, []telemetry.ViewRecord, []uint64, obs.SpanID) error { return nil }
 
 // TestWALAppendErrorRejectsBatchWhole: a WAL append failure must
 // reject the batch with nothing enqueued (503 over HTTP, counted), so
-// the client's retry cannot duplicate records.
+// the client's retry cannot duplicate records. The batch's root span
+// names the cause: a WAL failure, not a closed engine.
 func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, Config{Shards: 4, Metrics: reg, WAL: &errWAL{}})
+	tr := obs.NewTracer(simclock.NewManual(simclock.StudyStart), 64)
+	e := newTestEngine(t, Config{Shards: 4, Metrics: reg, Trace: tr, WAL: &errWAL{}})
 	srv := httptest.NewServer(NewServer(e).Handler())
 	defer srv.Close()
 	if code := postBinary(t, srv.URL, genRecords(100)); code != http.StatusServiceUnavailable {
@@ -261,6 +261,19 @@ func TestWALAppendErrorRejectsBatchWhole(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counters["live_wal_errors_total"]; n != 1 {
 		t.Fatalf("live_wal_errors_total = %d, want 1", n)
+	}
+	var batchSpans int
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Name != "ingest.batch" {
+			continue
+		}
+		batchSpans++
+		if sp.Attrs["wal_error"] != 1 || sp.Attrs["closed"] != 0 {
+			t.Fatalf("ingest.batch span after a WAL failure has attrs %v, want wal_error=1 and no closed", sp.Attrs)
+		}
+	}
+	if batchSpans != 1 {
+		t.Fatalf("%d ingest.batch spans, want 1", batchSpans)
 	}
 	e.AttachWAL(nil)
 	if g := e.Snapshot(); g.Records != 0 {

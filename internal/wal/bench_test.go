@@ -6,19 +6,23 @@ import (
 	"strconv"
 	"testing"
 
+	"vmp/internal/obs"
 	"vmp/internal/simclock"
 	"vmp/internal/telemetry/record"
 )
 
 // benchAppend measures AppendBatch throughput under one fsync policy:
-// one op = one 2000-record batch landed across 4 shards, durable to
-// whatever degree the policy promises. The log is recycled every 200
-// ops outside the timer so segment accumulation doesn't turn this into
-// a filesystem benchmark. The spread between the three policies is the
-// durability tax EXPERIMENTS.md tracks.
+// one op = one 2000-record batch of 4 shard parts, landed as one
+// segment record and durable to whatever degree the policy promises.
+// The log is recycled every 200 ops outside the timer so segment
+// accumulation doesn't turn this into a filesystem benchmark. The
+// spread between the three policies is the durability tax
+// EXPERIMENTS.md tracks; fsyncs/op (from wal_fsync_total) is 1 under
+// PolicyBatch, a fraction under PolicyInterval, and 0 under PolicyOff.
 func benchAppend(b *testing.B, policy Policy) {
 	root := b.TempDir()
 	parts := partition(genRecords(2000), 4)
+	reg := obs.NewRegistry()
 
 	var (
 		l   *Log
@@ -29,10 +33,10 @@ func benchAppend(b *testing.B, policy Policy) {
 		dir := filepath.Join(root, "wal-"+strconv.Itoa(gen))
 		gen++
 		l, err = Open(Options{
-			Dir:    dir,
-			Shards: 4,
-			Policy: policy,
-			Clock:  simclock.NewManual(simclock.StudyStart),
+			Dir:     dir,
+			Policy:  policy,
+			Clock:   simclock.NewManual(simclock.StudyStart),
+			Metrics: reg,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -61,6 +65,7 @@ func benchAppend(b *testing.B, policy Policy) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(2000*b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(reg.Counter("wal_fsync_total").Load())/float64(b.N), "fsyncs/op")
 }
 
 // BenchmarkWALAppendBatch fsyncs every batch before returning — the
@@ -76,14 +81,13 @@ func BenchmarkWALAppendInterval(b *testing.B) { benchAppend(b, PolicyInterval) }
 func BenchmarkWALAppendOff(b *testing.B) { benchAppend(b, PolicyOff) }
 
 // BenchmarkWALReplay measures boot-time recovery: decode and deliver
-// every record from a 100k-record log (50 segments-worth of appends,
-// no checkpoint). One op = one full replay. The records/s here bounds
+// every record from a 100k-record log (50 appended batches, no
+// checkpoint). One op = one full replay. The records/s here bounds
 // how much WAL backlog a daemon can absorb per second of downtime.
 func BenchmarkWALReplay(b *testing.B) {
 	dir := b.TempDir()
 	l, err := Open(Options{
 		Dir:    dir,
-		Shards: 4,
 		Policy: PolicyOff,
 		Clock:  simclock.NewManual(simclock.StudyStart),
 	})

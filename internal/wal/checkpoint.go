@@ -18,12 +18,11 @@ import (
 // deleted without ever shrinking what a replay reconstructs:
 //
 //	"VWCK"          — magic
-//	u8 version      — 1
+//	u8 version      — 2
 //	uvarint epoch   — engine epoch that published the generation
 //	uvarint total   — record count across all frames
-//	uvarint nshards — shard count at commit time
-//	nshards×uvarint — per-shard WAL bounds: segment records with
-//	                  seq <= bounds[i] are in this checkpoint
+//	uvarint bound   — WAL bound: segment records with seq <= bound
+//	                  are in this checkpoint
 //	frames          — the generation's records as wire binary frames
 //	u32le crc32c    — Castagnoli CRC over every preceding byte
 //
@@ -32,11 +31,12 @@ import (
 // either the old checkpoint or the new one, both intact. Checkpoint
 // names carry a WAL-internal monotonic ID (engine epochs restart at
 // zero each boot, so they cannot order files across restarts); the
-// epoch inside is metadata.
+// epoch inside is metadata. Version 1 carried one bound per shard of
+// the per-shard log older builds wrote; Open refuses it.
 const (
-	ckptVersion      = 1
+	ckptVersion      = 2
 	ckptHeaderMin    = 5
-	ckptChunkRecords = 8192
+	ckptFrameRecords = 8192
 )
 
 var ckptMagic = []byte{'V', 'W', 'C', 'K'}
@@ -51,7 +51,7 @@ type ckptInfo struct {
 type ckptHeader struct {
 	epoch  int64
 	total  uint64
-	bounds []uint64
+	bound  uint64
 	frames []byte // the wire frames region, CRC already verified
 }
 
@@ -70,7 +70,11 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 		return nil, fmt.Errorf("wal: bad checkpoint magic %q", body[:4])
 	}
 	if body[4] != ckptVersion {
-		return nil, fmt.Errorf("wal: unknown checkpoint version %d", body[4])
+		hint := ""
+		if body[4] == 1 {
+			hint = ": a " + migrateHint
+		}
+		return nil, fmt.Errorf("wal: unknown checkpoint version %d%s", body[4], hint)
 	}
 	rest := body[ckptHeaderMin:]
 	var h ckptHeader
@@ -84,34 +88,25 @@ func parseCheckpoint(data []byte) (*ckptHeader, error) {
 		return nil, fmt.Errorf("wal: checkpoint: bad total varint")
 	}
 	rest = rest[n:]
-	nshards, n := binary.Uvarint(rest)
-	if n <= 0 || nshards > 1<<16 {
-		return nil, fmt.Errorf("wal: checkpoint: bad shard count")
+	if h.bound, n = binary.Uvarint(rest); n <= 0 {
+		return nil, fmt.Errorf("wal: checkpoint: bad bound varint")
 	}
-	rest = rest[n:]
-	h.bounds = make([]uint64, nshards)
-	for i := range h.bounds {
-		if h.bounds[i], n = binary.Uvarint(rest); n <= 0 {
-			return nil, fmt.Errorf("wal: checkpoint: bad bound varint for shard %d", i)
-		}
-		rest = rest[n:]
-	}
-	h.frames = rest
+	h.frames = rest[n:]
 	return &h, nil
 }
 
-// loadCheckpointBounds reads just what Open needs from the latest
-// checkpoint: its per-shard bounds, CRC-verified.
-func loadCheckpointBounds(path string) ([]uint64, error) {
+// loadCheckpointBound reads just what Open needs from the latest
+// checkpoint: its bound, CRC-verified.
+func loadCheckpointBound(path string) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return 0, fmt.Errorf("wal: %w", err)
 	}
 	h, err := parseCheckpoint(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
+		return 0, fmt.Errorf("%w (%s)", err, path)
 	}
-	return h.bounds, nil
+	return h.bound, nil
 }
 
 // replayCheckpoint streams a checkpoint's records through fn one frame
@@ -152,21 +147,18 @@ func replayCheckpoint(path string, dec *wire.Decoder, fn func(recs []record.View
 }
 
 // encodeCheckpoint builds the full checkpoint file image.
-func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64) ([]byte, error) {
+func encodeCheckpoint(epoch int64, records []record.ViewRecord, bound uint64) ([]byte, error) {
 	enc := wire.NewEncoder()
 	buf := make([]byte, 0, 1<<16+len(records)*32)
 	buf = append(buf, ckptMagic...)
 	buf = append(buf, ckptVersion)
 	buf = binary.AppendUvarint(buf, uint64(epoch))
 	buf = binary.AppendUvarint(buf, uint64(len(records)))
-	buf = binary.AppendUvarint(buf, uint64(len(bounds)))
-	for _, b := range bounds {
-		buf = binary.AppendUvarint(buf, b)
-	}
+	buf = binary.AppendUvarint(buf, bound)
 	for len(records) > 0 {
 		n := len(records)
-		if n > ckptChunkRecords {
-			n = ckptChunkRecords
+		if n > ckptFrameRecords {
+			n = ckptFrameRecords
 		}
 		var err error
 		if buf, err = enc.AppendFrame(buf, records[:n]); err != nil {
@@ -180,10 +172,10 @@ func encodeCheckpoint(epoch int64, records []record.ViewRecord, bounds []uint64)
 // Commit folds the log forward to a published generation: it writes
 // records (the generation's full contents) as a new checkpoint, then
 // deletes every segment whose records the checkpoint covers — the
-// epoch-boundary truncation. bounds must be the Bounds() reading the
-// engine took under its admission lock before flushing the epoch, so
-// "covered" is exact: seq <= bounds[i] is in records, seq > bounds[i]
-// is not.
+// epoch-boundary truncation. bounds must be the one-element Bounds()
+// reading the engine took under its admission lock before flushing
+// the epoch, so "covered" is exact: seq <= bounds[0] is in records,
+// seq > bounds[0] is not.
 //
 // Commit is degradation-safe: any failure leaves the previous
 // checkpoint and all segments intact, so the log keeps growing but
@@ -202,12 +194,12 @@ func (l *Log) Commit(epoch int64, records []record.ViewRecord, bounds []uint64, 
 }
 
 func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) (int64, error) {
-	l.mu.Lock()
-	if len(bounds) != len(l.shards) {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: commit with %d bounds for %d shards", len(bounds), len(l.shards))
+	if len(bounds) != 1 {
+		return 0, fmt.Errorf("wal: commit with %d bounds, want 1", len(bounds))
 	}
-	if l.lastCommit != nil && boundsEqual(bounds, l.lastCommit) {
+	bound := bounds[0]
+	l.mu.Lock()
+	if len(l.ckpts) > 0 && bound == l.cpBound {
 		// Nothing appended since the last commit: the checkpoint on
 		// disk already describes this generation. Idle epochs must not
 		// rewrite it.
@@ -219,7 +211,7 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 
 	// Build and persist the new checkpoint without holding mu —
 	// appends continue while the generation is written out.
-	img, err := encodeCheckpoint(epoch, records, bounds)
+	img, err := encodeCheckpoint(epoch, records, bound)
 	if err != nil {
 		return 0, fmt.Errorf("wal: encoding checkpoint: %w", err)
 	}
@@ -233,54 +225,40 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 	old := l.ckpts
 	l.ckpts = []ckptInfo{{id: id, path: path}}
 	l.nextCkptID = id + 1
-	l.cpBounds = append([]uint64(nil), bounds...)
-	l.lastCommit = append([]uint64(nil), bounds...)
+	l.cpBound = bound
 
-	// Everything at or below the bounds is durable in the checkpoint;
+	// Everything at or below the bound is durable in the checkpoint;
 	// drop the segments (and superseded checkpoints) that carried it.
 	// Removal failures are reported but cannot lose data — replay
-	// filters seq <= bounds anyway.
+	// filters seq <= bound anyway.
 	truncated := int64(0)
 	var firstErr error
-	for i, sh := range l.shards {
-		keep := sh.segs[:0]
-		for j, seg := range sh.segs {
-			if seg.last > bounds[i] || seg.last < seg.first {
-				keep = append(keep, seg)
-				continue
-			}
-			if j == len(sh.segs)-1 && sh.f != nil {
-				// The active segment is fully covered: close it so the
-				// next append starts a fresh file above the bound.
-				err := sh.f.Close()
-				sh.f = nil
-				sh.size = 0
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("wal: closing shard %d segment: %w", i, err)
-				}
-			}
-			if err := os.Remove(seg.path); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("wal: %w", err)
-				}
-				keep = append(keep, seg)
-				continue
-			}
-			truncated += int64(seg.last - seg.first + 1)
+	keep := l.segs[:0]
+	for j, seg := range l.segs {
+		if seg.last > bound || seg.last < seg.first {
+			keep = append(keep, seg)
+			continue
 		}
-		sh.segs = keep
+		if j == len(l.segs)-1 && l.f != nil {
+			// The active segment is fully covered: close it so the
+			// next append starts a fresh file above the bound.
+			err := l.f.Close()
+			l.f = nil
+			l.size = 0
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("wal: closing segment: %w", err)
+			}
+		}
+		if err := os.Remove(seg.path); err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("wal: %w", err)
+			}
+			keep = append(keep, seg)
+			continue
+		}
+		truncated += int64(seg.last - seg.first + 1)
 	}
-	for _, st := range l.stale {
-		for _, seg := range st.segs {
-			if seg.last >= seg.first {
-				truncated += int64(seg.last - seg.first + 1)
-			}
-		}
-		if err := os.RemoveAll(st.dir); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("wal: %w", err)
-		}
-	}
-	l.stale = nil
+	l.segs = keep
 	for _, c := range old {
 		if err := os.Remove(c.path); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("wal: %w", err)
@@ -288,18 +266,6 @@ func (l *Log) commit(epoch int64, records []record.ViewRecord, bounds []uint64) 
 	}
 	l.truncated.Add(truncated)
 	return truncated, firstErr
-}
-
-func boundsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // writeFileDurable writes data at path atomically and durably: temp

@@ -17,19 +17,21 @@ import (
 //
 //	u32le  length   — byte count of everything after the CRC field
 //	u32le  crc32c   — Castagnoli CRC over those length bytes
-//	uvarint seq     — per-shard monotonic sequence number
+//	uvarint seq     — log-wide monotonic sequence number
 //	frames          — one or more wire binary frames (internal/wire),
-//	                  exactly as Encoder.AppendFrame lays them out
+//	                  exactly as Encoder.AppendFrame lays them out: one
+//	                  per non-empty shard part of the appended batch
 //
-// The CRC covers the sequence number and the frame bytes, so a torn
-// write — a crash mid-record — is detected no matter where it lands:
-// a short header, a short body, or a complete-looking body whose
-// bytes never all reached the disk.
+// One record is one appended batch (up to recordCap view records), so
+// the CRC is the batch's commit point: it covers the sequence number
+// and every frame, and a torn write — a crash mid-record — is detected
+// no matter where it lands: a short header, a short body, or a
+// complete-looking body whose bytes never all reached the disk.
 const (
 	recordHeaderBytes = 8
 
 	// MaxRecordBytes bounds one record's post-CRC byte count. The
-	// appender chunks batches well below it; the decoder rejects
+	// appender refuses to seal a larger record; the decoder rejects
 	// larger declared lengths before allocating, so a corrupt length
 	// field cannot provoke an over-allocation.
 	MaxRecordBytes = wire.MaxFrameBytes + 64
@@ -52,7 +54,7 @@ type Torn struct {
 // contract: it is valid only until the next record is decoded, so fn
 // must copy what it keeps. A nil dec verifies framing and CRCs without
 // decoding the frame payloads (fn sees each sequence with nil records)
-// — the cheap scan Open uses to find a shard's last durable sequence.
+// — the cheap scan Open uses to find the log's last durable sequence.
 //
 // A truncated or CRC-failing tail returns a non-nil *Torn with a nil
 // error: every record before it was delivered, and the caller decides
@@ -111,22 +113,26 @@ func DecodeSegment(data []byte, dec *wire.Decoder, fn func(seq uint64, recs []re
 	return nil, nil
 }
 
-// appendRecord appends one framed record (header, CRC, sequence,
-// frames) for recs to dst and returns the extended slice. enc's
-// scratch is reused across calls.
+// beginRecord appends a record header placeholder and seq to dst; the
+// caller appends the record's frames and then seals it.
 //
 //vmp:hotpath
-func appendRecord(dst []byte, enc *wire.Encoder, seq uint64, recs []record.ViewRecord) ([]byte, error) {
-	base := len(dst)
+func beginRecord(dst []byte, seq uint64) []byte {
 	var hdr [recordHeaderBytes]byte
 	dst = append(dst, hdr[:]...)
-	dst = binary.AppendUvarint(dst, seq)
-	dst, err := enc.AppendFrame(dst, recs)
-	if err != nil {
-		return dst[:base], err
+	return binary.AppendUvarint(dst, seq)
+}
+
+// sealRecord fills in the length and CRC of the single record rec
+// holds, begun by beginRecord and extended with frames.
+//
+//vmp:hotpath
+func sealRecord(rec []byte) error {
+	body := rec[recordHeaderBytes:]
+	if len(body) > MaxRecordBytes {
+		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", len(body), MaxRecordBytes)
 	}
-	body := dst[base+recordHeaderBytes:]
-	binary.LittleEndian.PutUint32(dst[base:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[base+4:], crc32.Checksum(body, castagnoli))
-	return dst, nil
+	binary.LittleEndian.PutUint32(rec, uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(body, castagnoli))
+	return nil
 }

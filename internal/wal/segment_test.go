@@ -17,15 +17,21 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files and fuzz seed corpus")
 
-// buildSegment encodes batches as consecutive segment records with
-// sequences 1..len(batches) — the raw bytes a shard file would hold.
+// buildSegment encodes batches as consecutive single-frame segment
+// records with sequences 1..len(batches) — the raw bytes a segment
+// file would hold.
 func buildSegment(t testing.TB, batches [][]record.ViewRecord) []byte {
 	t.Helper()
 	enc := wire.NewEncoder()
 	var data []byte
 	for i, b := range batches {
+		base := len(data)
+		data = beginRecord(data, uint64(i+1))
 		var err error
-		if data, err = appendRecord(data, enc, uint64(i+1), b); err != nil {
+		if data, err = enc.AppendFrame(data, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := sealRecord(data[base:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +216,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l := openLog(t, dir, Options{Shards: 1, Policy: PolicyBatch})
+			l := openLog(t, dir, Options{Policy: PolicyBatch})
 			recs := genRecords(300)
 			for lo := 0; lo < 300; lo += 100 {
 				if err := l.AppendBatch([][]record.ViewRecord{recs[lo : lo+100]}, 0); err != nil {
@@ -230,7 +236,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 			// truncated away, counted, and the log is immediately
 			// appendable again at the right sequence.
 			reg := obs.NewRegistry()
-			l2 := openLog(t, dir, Options{Shards: 1, Policy: PolicyBatch, Metrics: reg})
+			l2 := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
 			if n := reg.Snapshot().Counters["wal_torn_tail_total"]; n != 1 {
 				t.Fatalf("wal_torn_tail_total = %d, want 1", n)
 			}
@@ -258,7 +264,7 @@ func TestTornTailRecoveredOnOpen(t *testing.T) {
 func TestReplayCorruptClosedSegmentIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: three appends land in separate files.
-	l := openLog(t, dir, Options{Shards: 1, Policy: PolicyBatch, SegmentBytes: 1})
+	l := openLog(t, dir, Options{Policy: PolicyBatch, SegmentBytes: 1})
 	recs := genRecords(300)
 	for lo := 0; lo < 300; lo += 100 {
 		if err := l.AppendBatch([][]record.ViewRecord{recs[lo : lo+100]}, 0); err != nil {

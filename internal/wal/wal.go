@@ -1,20 +1,22 @@
-// Package wal is the serving plane's durability subsystem: a per-shard
+// Package wal is the serving plane's durability subsystem: one
 // append-only write-ahead log in front of internal/live's in-memory
 // shard queues, so a crash between admission and the next epoch cannot
 // lose a batch the daemon acknowledged.
 //
-// Each admitted sub-batch is appended to its shard's active segment as
-// a length-prefixed, CRC32C-checksummed record carrying a per-shard
+// Each admitted batch is appended to the log's active segment as one
+// length-prefixed, CRC32C-checksummed record carrying a log-wide
 // monotonic sequence number and the batch itself as internal/wire
-// binary frames — the same encoding the ingest wire path speaks, and
-// the same monotonic-sequence framing discipline the obs event
-// pipeline uses to make a truncated prefix detectable. Appends are
-// made durable by a configurable fsync policy: PolicyBatch syncs
-// before the append returns (an acknowledged batch survives kill -9
-// and power loss), PolicyInterval group-commits on a background
-// cadence (ack precedes durability by at most one interval), and
-// PolicyOff never syncs (the OS page cache still survives a process
-// kill, but not a kernel crash).
+// binary frames, one per non-empty shard part — the same encoding the
+// ingest wire path speaks, and the same monotonic-sequence framing
+// discipline the obs event pipeline uses to make a truncated prefix
+// detectable. The record is the batch's single commit point: its CRC
+// covers every part, so replay delivers the batch whole or not at all.
+// Appends are made durable by a configurable fsync policy: PolicyBatch
+// syncs before the append returns (an acknowledged batch survives
+// kill -9 and power loss), PolicyInterval group-commits on a
+// background cadence (ack precedes durability by at most one
+// interval), and PolicyOff never syncs (the OS page cache still
+// survives a process kill, but not a kernel crash).
 //
 // Each published epoch folds the log forward: Commit writes the new
 // generation as a checkpoint (atomically, via tmp + rename), then
@@ -23,10 +25,9 @@
 // segment record back through the caller — in vmpd, the normal
 // Engine.Ingest path, where telemetry.CanonicalSort makes replay
 // order-insensitive — before the HTTP listener opens. A torn final
-// record (the expected aftermath of a crash mid-append) stops a
-// shard's replay cleanly at the last good sequence, logged and
-// counted, never with a panic. DESIGN.md §11 specifies the formats
-// and the crash matrix.
+// record (the expected aftermath of a crash mid-append) stops replay
+// cleanly at the last good sequence, logged and counted, never with a
+// panic. DESIGN.md §11 specifies the formats and the crash matrix.
 package wal
 
 import (
@@ -50,17 +51,28 @@ import (
 // ErrClosed is returned by appends after Close.
 var ErrClosed = errors.New("wal: log closed")
 
+// recordCap bounds the view records one segment record holds. Every
+// ingest POST fits, so a batch is one record — one write() and one
+// commit point; a larger batch (in practice only vmpd -load) spans
+// consecutive records.
+const recordCap = 1 << 14
+
+// migrateHint is appended to Open's refusals of the per-shard layout
+// older vmpd builds wrote.
+const migrateHint = "per-shard WAL layout from an older vmpd: run the old binary with -wal-dir and -dump, then boot this one on an empty -wal-dir with -load"
+
 // Policy selects when appended records are fsynced.
 type Policy int
 
 const (
-	// PolicyBatch syncs every shard file a batch touched before
-	// AppendBatch returns: an acknowledged batch is durable against
-	// kill -9 and power loss.
+	// PolicyBatch syncs the active segment before AppendBatch
+	// returns: an acknowledged batch is durable against kill -9 and
+	// power loss.
 	PolicyBatch Policy = iota
 	// PolicyInterval group-commits: appends return after write(), and
-	// a background loop syncs dirty shard files every SyncEvery. The
-	// acknowledgement-to-durability window is at most one interval.
+	// a background loop syncs the active segment every SyncEvery when
+	// it is dirty. The acknowledgement-to-durability window is at most
+	// one interval.
 	PolicyInterval
 	// PolicyOff never syncs. Appends still write() synchronously, so
 	// the data survives a process kill in the OS page cache; a kernel
@@ -94,33 +106,24 @@ func (p Policy) String() string {
 }
 
 // Options parameterizes a Log. The zero value of every field gets a
-// sensible default: 8 shards, PolicyBatch, 25 ms group-commit
-// cadence, 16 MiB segments, the wall clock, a fresh registry, and a
-// disabled tracer.
+// sensible default: PolicyBatch, 25 ms group-commit cadence, 16 MiB
+// segments, the wall clock, a fresh registry, and a disabled tracer.
 type Options struct {
 	Dir          string         // log directory, created if absent
-	Shards       int            // shard count for new appends
 	Policy       Policy         // fsync policy
 	SyncEvery    time.Duration  // group-commit cadence for PolicyInterval
 	SegmentBytes int64          // active-segment rotation threshold
-	ChunkRecords int            // records per appended record (frame)
 	Clock        simclock.Clock // time source for fsync latency
 	Metrics      *obs.Registry  // counter/histogram destination
 	Trace        *obs.Tracer    // span/event destination (nil = disabled)
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 25 * time.Millisecond
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
-	}
-	if o.ChunkRecords <= 0 || o.ChunkRecords > wire.MaxFrameRecords {
-		o.ChunkRecords = 1 << 14
 	}
 	if o.Clock == nil {
 		o.Clock = simclock.Wall()
@@ -136,8 +139,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// segmentInfo is one segment file's place in a shard's log. Records in
-// a segment carry the contiguous sequences [first, last]; last < first
+// segmentInfo is one segment file's place in the log. Records in a
+// segment carry the contiguous sequences [first, last]; last < first
 // means the segment is empty.
 type segmentInfo struct {
 	path  string
@@ -145,33 +148,11 @@ type segmentInfo struct {
 	last  uint64
 }
 
-// shardLog is one shard's append state: its closed and active
-// segments, the open handle on the active one, and the next sequence
-// to assign. All fields are guarded by the owning Log's mu.
-type shardLog struct {
-	idx     int
-	dir     string
-	segs    []segmentInfo
-	f       *os.File // active segment handle; nil when no segment is open
-	size    int64
-	dirty   bool // written since the last fsync
-	nextSeq uint64
-}
-
-// staleShard is a shard directory left over from a previous run with a
-// higher shard count. Replay still reads it; the first Commit removes
-// it — by then its records are covered by the published generation.
-type staleShard struct {
-	idx  int
-	dir  string
-	segs []segmentInfo
-}
-
-// Log is a per-shard write-ahead log rooted at one directory. Append
-// methods are safe for concurrent use with Sync, Commit, and Replay;
-// the live engine additionally serializes AppendBatch and Bounds under
-// its admission lock, which is what makes a Bounds reading coherent
-// with the batches flushed into an epoch.
+// Log is a write-ahead log rooted at one directory. Append methods are
+// safe for concurrent use with Sync, Commit, and Replay; the live
+// engine additionally serializes AppendBatch and Bounds under its
+// admission lock, which is what makes a Bounds reading coherent with
+// the batches flushed into an epoch.
 type Log struct {
 	opts   Options
 	dir    string
@@ -179,12 +160,14 @@ type Log struct {
 	tracer *obs.Tracer
 
 	mu         sync.Mutex
-	shards     []*shardLog
-	stale      []staleShard
+	segs       []segmentInfo // closed segments then the active one, ascending
+	f          *os.File      // active segment handle; nil when no segment is open
+	size       int64         // bytes written to the active segment
+	dirty      bool          // written since the last fsync
+	nextSeq    uint64
 	ckpts      []ckptInfo // on-disk checkpoints, ascending by id
 	nextCkptID uint64
-	cpBounds   []uint64 // per-shard bounds of the latest checkpoint
-	lastCommit []uint64 // bounds of the last Commit (skip no-op commits)
+	cpBound    uint64 // bound of the latest checkpoint; meaningful when ckpts is non-empty
 	closed     bool
 
 	quit chan struct{} // stops the PolicyInterval sync loop
@@ -205,12 +188,12 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the log rooted at opts.Dir: it
-// loads the latest checkpoint's bounds, indexes every shard's
-// segments, scans each shard's final segment to find its last durable
-// sequence — truncating any torn tail left by a crash mid-append, so
-// new appends never land after garbage — and starts the group-commit
-// loop when the policy asks for one. Open does not replay; call
-// Replay before the first append to stream surviving records back.
+// loads the latest checkpoint's bound, indexes the segments, scans the
+// final segment to find the last durable sequence — truncating any
+// torn tail left by a crash mid-append, so new appends never land
+// after garbage — and starts the group-commit loop when the policy
+// asks for one. Open does not replay; call Replay before the first
+// append to stream surviving records back.
 func Open(opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -224,6 +207,7 @@ func Open(opts Options) (*Log, error) {
 		dir:       opts.Dir,
 		clock:     opts.Clock,
 		tracer:    opts.Trace,
+		nextSeq:   1,
 		enc:       wire.NewEncoder(),
 		appended:  opts.Metrics.Counter("wal_appended_total"),
 		replayed:  opts.Metrics.Counter("wal_replayed_total"),
@@ -246,21 +230,24 @@ func Open(opts Options) (*Log, error) {
 	return l, nil
 }
 
-// scanDir indexes checkpoints and shard segments, removes leftover
-// checkpoint temp files, and recovers each shard's tail.
+// scanDir indexes checkpoints and segments, removes leftover
+// checkpoint temp files, recovers the final segment's tail, and
+// resumes the sequence at max(tail, checkpoint bound) + 1.
 func (l *Log) scanDir() error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	var shardDirs []int
 	for _, e := range entries {
 		name := e.Name()
+		path := filepath.Join(l.dir, name)
 		switch {
+		case e.IsDir() && strings.HasPrefix(name, "shard-"):
+			return fmt.Errorf("wal: %s holds a %s", path, migrateHint)
 		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".tmp"):
 			// A crash mid-checkpoint leaves a temp file; the rename
 			// never happened, so it holds nothing the log needs.
-			if err := os.Remove(filepath.Join(l.dir, name)); err != nil {
+			if err := os.Remove(path); err != nil {
 				return fmt.Errorf("wal: removing stale %s: %w", name, err)
 			}
 		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".ckpt"):
@@ -268,114 +255,57 @@ func (l *Log) scanDir() error {
 			if err != nil {
 				return fmt.Errorf("wal: bad checkpoint name %q", name)
 			}
-			l.ckpts = append(l.ckpts, ckptInfo{id: id, path: filepath.Join(l.dir, name)})
-		case e.IsDir() && strings.HasPrefix(name, "shard-"):
-			idx, err := strconv.Atoi(strings.TrimPrefix(name, "shard-"))
-			if err != nil || idx < 0 {
-				return fmt.Errorf("wal: bad shard directory %q", name)
+			l.ckpts = append(l.ckpts, ckptInfo{id: id, path: path})
+		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".wal"):
+			first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 16, 64)
+			if err != nil {
+				return fmt.Errorf("wal: bad segment name %q", name)
 			}
-			shardDirs = append(shardDirs, idx)
+			l.segs = append(l.segs, segmentInfo{path: path, first: first})
 		}
 	}
 	sort.Slice(l.ckpts, func(i, j int) bool { return l.ckpts[i].id < l.ckpts[j].id })
 	if n := len(l.ckpts); n > 0 {
 		l.nextCkptID = l.ckpts[n-1].id + 1
-		bounds, err := loadCheckpointBounds(l.ckpts[n-1].path)
+		bound, err := loadCheckpointBound(l.ckpts[n-1].path)
 		if err != nil {
 			return err
 		}
-		l.cpBounds = bounds
-		l.lastCommit = append([]uint64(nil), bounds...)
+		l.cpBound = bound
 	}
 
-	l.shards = make([]*shardLog, l.opts.Shards)
-	for i := range l.shards {
-		l.shards[i] = &shardLog{idx: i, dir: l.shardDir(i), nextSeq: 1}
-	}
-	sort.Ints(shardDirs)
-	for _, idx := range shardDirs {
-		dir := l.shardDir(idx)
-		segs, err := l.scanShard(idx, dir)
+	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].first < l.segs[j].first })
+	for i := range l.segs {
+		if i+1 < len(l.segs) {
+			// Closed segments hold the contiguous run up to the next
+			// segment's first sequence; replay verifies record by record.
+			if l.segs[i+1].first <= l.segs[i].first {
+				return fmt.Errorf("wal: segments %s and %s overlap", l.segs[i].path, l.segs[i+1].path)
+			}
+			l.segs[i].last = l.segs[i+1].first - 1
+			continue
+		}
+		last, err := l.recoverTail(l.segs[i])
 		if err != nil {
 			return err
 		}
-		if idx < len(l.shards) {
-			sh := l.shards[idx]
-			sh.segs = segs
-			if n := len(segs); n > 0 {
-				sh.nextSeq = segs[n-1].last + 1
-			}
-			if b := l.bound(idx); sh.nextSeq <= b {
-				// Every segment was truncated past this point; sequences
-				// must stay above the checkpoint bound or replay would
-				// filter fresh appends out.
-				sh.nextSeq = b + 1
-			}
-		} else {
-			l.stale = append(l.stale, staleShard{idx: idx, dir: dir, segs: segs})
-		}
+		l.segs[i].last = last
+		l.nextSeq = last + 1
+	}
+	if l.nextSeq <= l.cpBound {
+		// Every segment was truncated past this point; sequences must
+		// stay above the checkpoint bound or replay would filter fresh
+		// appends out.
+		l.nextSeq = l.cpBound + 1
 	}
 	return nil
 }
 
-// bound returns the latest checkpoint's bound for shard idx (0 when
-// the checkpoint predates the shard).
-func (l *Log) bound(idx int) uint64 {
-	if idx < len(l.cpBounds) {
-		return l.cpBounds[idx]
-	}
-	return 0
-}
-
-func (l *Log) shardDir(idx int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("shard-%04d", idx))
-}
-
-// scanShard indexes one shard directory's segments and recovers the
-// final segment's tail: its records are scanned (CRC-checked, frames
-// skipped), a torn tail is physically truncated away — counted and
-// logged as a wal_torn_tail event — and the segment's last sequence is
-// established from what survives.
-func (l *Log) scanShard(idx int, dir string) ([]segmentInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var segs []segmentInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "seg-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".wal"), 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wal: bad segment name %q in %s", name, dir)
-		}
-		segs = append(segs, segmentInfo{path: filepath.Join(dir, name), first: first})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	for i := range segs {
-		if i+1 < len(segs) {
-			// Closed segments hold the contiguous run up to the next
-			// segment's first sequence; replay verifies record by record.
-			if segs[i+1].first <= segs[i].first {
-				return nil, fmt.Errorf("wal: shard %d: segments %s and %s overlap", idx, segs[i].path, segs[i+1].path)
-			}
-			segs[i].last = segs[i+1].first - 1
-			continue
-		}
-		last, err := l.recoverTail(idx, segs[i])
-		if err != nil {
-			return nil, err
-		}
-		segs[i].last = last
-	}
-	return segs, nil
-}
-
-// recoverTail scans the final segment of a shard, truncates a torn
-// tail, and returns the last durable sequence (first-1 when empty).
-func (l *Log) recoverTail(idx int, seg segmentInfo) (uint64, error) {
+// recoverTail scans the final segment's records (CRC-checked, frames
+// skipped), physically truncates a torn tail away — counted and logged
+// as a wal_torn_tail event — and returns the last durable sequence
+// (first-1 when empty).
+func (l *Log) recoverTail(seg segmentInfo) (uint64, error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
@@ -383,7 +313,7 @@ func (l *Log) recoverTail(idx int, seg segmentInfo) (uint64, error) {
 	last := seg.first - 1
 	torn, err := DecodeSegment(data, nil, func(seq uint64, _ []record.ViewRecord) error {
 		if seq != last+1 {
-			return fmt.Errorf("wal: shard %d %s: sequence %d after %d", idx, seg.path, seq, last)
+			return fmt.Errorf("wal: %s: sequence %d after %d", seg.path, seq, last)
 		}
 		last = seq
 		return nil
@@ -396,204 +326,184 @@ func (l *Log) recoverTail(idx int, seg segmentInfo) (uint64, error) {
 			return 0, fmt.Errorf("wal: truncating torn tail of %s: %w", seg.path, err)
 		}
 		l.tornTails.Add(1)
-		l.tracer.Emit("wal_torn_tail",
-			obs.KV("shard", int64(idx)), obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
+		l.tracer.Emit("wal_torn_tail", obs.KV("offset", torn.Off), obs.KV("last_seq", int64(last)))
 	}
 	return last, nil
 }
 
-// Bounds returns the last sequence assigned to each shard. The live
-// engine reads it under its admission lock while cutting an epoch, so
-// the result is exact: every record with seq <= Bounds()[i] is in the
-// generation being published, and nothing beyond is.
+// Bounds returns the last sequence assigned, as the one-element slice
+// live.WAL carries. The live engine reads it under its admission lock
+// while cutting an epoch, so the result is exact: every record with
+// seq <= Bounds()[0] is in the generation being published, and nothing
+// beyond is.
 func (l *Log) Bounds() []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	bounds := make([]uint64, len(l.shards))
-	for i, sh := range l.shards {
-		bounds[i] = sh.nextSeq - 1
-	}
-	return bounds
+	return []uint64{l.nextSeq - 1}
 }
 
-// AppendBatch durably appends each non-empty parts[i] to shard
-// i mod Shards. Parts larger than ChunkRecords are split across
-// records; under PolicyBatch every touched file is fsynced before the
-// call returns. An error means nothing should be acknowledged: the
-// caller rejects the batch and the client retries it whole.
+// AppendBatch durably appends the batch whose non-empty parts are
+// parts, as one segment record with one wire frame per part (a batch
+// over recordCap records spans consecutive records). Under
+// PolicyBatch the active segment is fsynced before the call returns.
+// An error means nothing should be acknowledged: the caller rejects
+// the batch and the client retries it whole.
 //
 //vmp:hotpath
 func (l *Log) AppendBatch(parts [][]record.ViewRecord, parent obs.SpanID) error {
 	sp := l.tracer.Start("wal.append", parent)
-	total := int64(0)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		sp.End(obs.KV("closed", 1))
 		return ErrClosed
 	}
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		if err := l.appendLocked(l.shards[i%len(l.shards)], part); err != nil {
-			l.mu.Unlock()
-			sp.End(obs.KV("error", 1))
-			return err
-		}
-		total += int64(len(part))
-	}
-	if l.opts.Policy == PolicyBatch {
-		if err := l.syncLocked(sp.ID()); err != nil {
-			l.mu.Unlock()
-			sp.End(obs.KV("error", 1))
-			return err
-		}
+	total, err := l.appendLocked(parts)
+	if err == nil && l.opts.Policy == PolicyBatch {
+		err = l.syncLocked(sp.ID())
 	}
 	l.mu.Unlock()
+	if err != nil {
+		sp.End(obs.KV("error", 1))
+		return err
+	}
 	l.appended.Add(total)
 	sp.End(obs.KV("records", total))
 	return nil
 }
 
-// appendLocked writes part to sh as one or more records. Caller holds
-// mu.
+// appendLocked encodes parts into segment records of at most recordCap
+// view records and writes each. Caller holds mu.
 //
 //vmp:hotpath
-func (l *Log) appendLocked(sh *shardLog, part []record.ViewRecord) error {
-	for len(part) > 0 {
-		n := len(part)
-		if n > l.opts.ChunkRecords {
-			n = l.opts.ChunkRecords
-		}
-		if sh.f == nil {
-			if err := l.openSegment(sh); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
-				return err
+func (l *Log) appendLocked(parts [][]record.ViewRecord) (int64, error) {
+	total := int64(0)
+	buf := l.buf[:0]
+	room := recordCap
+	for _, part := range parts {
+		for len(part) > 0 {
+			if len(buf) == 0 {
+				buf = beginRecord(buf, l.nextSeq)
 			}
-		}
-		seq := sh.nextSeq
-		buf, err := appendRecord(l.buf[:0], l.enc, seq, part[:n])
-		l.buf = buf
-		if err != nil {
-			return err
-		}
-		if _, err := sh.f.Write(buf); err != nil {
-			// A partial write leaves a torn tail; recovery on the next
-			// open truncates it, so the sequence is not consumed.
-			return fmt.Errorf("wal: shard %d append: %w", sh.idx, err)
-		}
-		sh.nextSeq = seq + 1
-		sh.size += int64(len(buf))
-		sh.dirty = true
-		sh.segs[len(sh.segs)-1].last = seq
-		part = part[n:]
-		if sh.size >= l.opts.SegmentBytes {
-			if err := l.rotateLocked(sh); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
-				return err
+			n := min(len(part), room)
+			var err error
+			if buf, err = l.enc.AppendFrame(buf, part[:n]); err != nil {
+				l.buf = buf[:0]
+				return 0, err
+			}
+			part = part[n:]
+			room -= n
+			total += int64(n)
+			if room == 0 {
+				if err := l.writeRecord(buf); err != nil {
+					return 0, err
+				}
+				buf, room = l.buf[:0], recordCap
 			}
 		}
 	}
+	if len(buf) > 0 {
+		if err := l.writeRecord(buf); err != nil {
+			return 0, err
+		}
+	}
+	return total, nil
+}
+
+// writeRecord seals the record begun in buf and lands it in the active
+// segment with a single write(), first starting a fresh segment when
+// none is open or the active one has reached SegmentBytes. Caller
+// holds mu.
+//
+//vmp:hotpath
+func (l *Log) writeRecord(buf []byte) error {
+	l.buf = buf[:0]
+	if err := sealRecord(buf); err != nil {
+		return err
+	}
+	if l.f == nil || l.size >= l.opts.SegmentBytes {
+		if err := l.startSegment(); err != nil { //vmp:alloc segment create/rotate is amortized over SegmentBytes of appends
+			return err
+		}
+	}
+	if _, err := l.f.Write(buf); err != nil {
+		// A partial write leaves a torn tail; recovery on the next
+		// open truncates it, so the sequence is not consumed.
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	l.segs[len(l.segs)-1].last = l.nextSeq
+	l.nextSeq++
+	l.size += int64(len(buf))
+	l.dirty = true
 	return nil
 }
 
-// openSegment creates and opens a fresh active segment named after
-// the next sequence the shard will assign.
-func (l *Log) openSegment(sh *shardLog) error {
-	if err := os.MkdirAll(sh.dir, 0o755); err != nil {
-		return fmt.Errorf("wal: %w", err)
+// startSegment closes the active segment, if any — syncing what the
+// policy has not yet — and opens a fresh one named after the next
+// sequence the log will assign. Caller holds mu.
+func (l *Log) startSegment() error {
+	if l.f != nil {
+		if l.opts.Policy != PolicyOff {
+			if err := l.syncLocked(0); err != nil {
+				return err
+			}
+		}
+		err := l.f.Close()
+		l.f = nil
+		if err != nil {
+			return fmt.Errorf("wal: closing segment: %w", err)
+		}
 	}
-	path := filepath.Join(sh.dir, fmt.Sprintf("seg-%016x.wal", sh.nextSeq))
+	path := filepath.Join(l.dir, fmt.Sprintf("seg-%016x.wal", l.nextSeq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	sh.f = f
-	sh.size = 0
-	sh.segs = append(sh.segs, segmentInfo{path: path, first: sh.nextSeq, last: sh.nextSeq - 1})
+	l.f = f
+	l.size = 0
+	l.segs = append(l.segs, segmentInfo{path: path, first: l.nextSeq, last: l.nextSeq - 1})
 	return nil
 }
 
-// rotateLocked closes the active segment so the next append starts a
-// fresh one; a final sync flushes whatever the policy had not yet.
-func (l *Log) rotateLocked(sh *shardLog) error {
-	if sh.f == nil {
-		return nil
-	}
-	if sh.dirty && l.opts.Policy != PolicyOff {
-		if err := l.syncShard(sh); err != nil {
-			return err
-		}
-	}
-	err := sh.f.Close()
-	sh.f = nil
-	sh.size = 0
-	if err != nil {
-		return fmt.Errorf("wal: closing segment: %w", err)
-	}
-	return nil
-}
-
-// syncShard fsyncs one shard's active segment and clears its dirty
-// flag. Caller holds mu.
-func (l *Log) syncShard(sh *shardLog) error {
-	start := l.clock.Now()
-	if err := sh.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync shard %d: %w", sh.idx, err)
-	}
-	sh.dirty = false
-	l.fsyncs.Add(1)
-	l.fsyncSec.Observe(l.clock.Now().Sub(start).Seconds())
-	return nil
-}
-
-// syncLocked fsyncs every dirty shard file under one wal.fsync span.
-// Caller holds mu.
+// syncLocked fsyncs the active segment under a wal.fsync span when it
+// holds unsynced appends. Caller holds mu.
 //
 //vmp:hotpath
 func (l *Log) syncLocked(parent obs.SpanID) error {
-	sp := l.tracer.Start("wal.fsync", parent)
-	n := int64(0)
-	for _, sh := range l.shards {
-		if sh.f == nil || !sh.dirty {
-			continue
-		}
-		if err := l.syncShard(sh); err != nil {
-			sp.End(obs.KV("error", 1))
-			return err
-		}
-		n++
+	if l.f == nil || !l.dirty {
+		return nil
 	}
-	sp.End(obs.KV("files", n))
+	sp := l.tracer.Start("wal.fsync", parent)
+	start := l.clock.Now()
+	if err := l.f.Sync(); err != nil {
+		sp.End(obs.KV("error", 1))
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	l.dirty = false
+	l.fsyncs.Add(1)
+	l.fsyncSec.Observe(l.clock.Now().Sub(start).Seconds())
+	sp.End()
 	return nil
 }
 
 // Backlog reports the log's replay debt: how many segment files exist
-// (active and closed, across live and stale shards) and how many bytes
-// they hold — everything a boot-time Replay would have to stream
-// before the listener opens. Active segments report their tracked
-// write offset; closed segments are stat'ed, and one that cannot be
-// stat'ed (racing a concurrent Commit truncation) contributes its file
-// to the count but no bytes.
+// (active and closed) and how many bytes they hold — everything a
+// boot-time Replay would have to stream before the listener opens. The
+// active segment reports its tracked write offset; closed segments are
+// stat'ed, and one that cannot be stat'ed (racing a concurrent Commit
+// truncation) contributes its file to the count but no bytes.
 func (l *Log) Backlog() (segments int, bytes int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	count := func(segs []segmentInfo, active *os.File, activeSize int64) {
-		for i, seg := range segs {
-			segments++
-			if active != nil && i == len(segs)-1 {
-				bytes += activeSize
-				continue
-			}
-			if fi, err := os.Stat(seg.path); err == nil {
-				bytes += fi.Size()
-			}
+	for i, seg := range l.segs {
+		segments++
+		if l.f != nil && i == len(l.segs)-1 {
+			bytes += l.size
+			continue
 		}
-	}
-	for _, sh := range l.shards {
-		count(sh.segs, sh.f, sh.size)
-	}
-	for _, st := range l.stale {
-		count(st.segs, nil, 0)
+		if fi, err := os.Stat(seg.path); err == nil {
+			bytes += fi.Size()
+		}
 	}
 	return segments, bytes
 }
@@ -606,8 +516,8 @@ func (l *Log) PublishGauges() {
 	l.backBytes.Set(bytes)
 }
 
-// Sync forces an fsync of every dirty shard file — the group-commit
-// step, also usable directly by tests and shutdown paths.
+// Sync forces an fsync of the active segment if it is dirty — the
+// group-commit step, also usable directly by tests and shutdown paths.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -637,8 +547,8 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Close stops the group-commit loop, syncs everything dirty, and
-// closes the shard files. The log directory remains valid for a later
+// Close stops the group-commit loop, syncs the active segment if it is
+// dirty, and closes it. The log directory remains valid for a later
 // Open. Close is idempotent; appends after it return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -654,20 +564,16 @@ func (l *Log) Close() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var first error
-	for _, sh := range l.shards {
-		if sh.f == nil {
-			continue
-		}
-		if sh.dirty && l.opts.Policy != PolicyOff {
-			if err := l.syncShard(sh); err != nil && first == nil {
-				first = err
-			}
-		}
-		if err := sh.f.Close(); err != nil && first == nil {
-			first = fmt.Errorf("wal: closing shard %d: %w", sh.idx, err)
-		}
-		sh.f = nil
+	if l.f == nil {
+		return nil
 	}
-	return first
+	var err error
+	if l.opts.Policy != PolicyOff {
+		err = l.syncLocked(0)
+	}
+	if cerr := l.f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("wal: closing segment: %w", cerr)
+	}
+	l.f = nil
+	return err
 }

@@ -2,8 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +41,7 @@ func genRecords(n int) []record.ViewRecord {
 	return recs
 }
 
-// partition splits records round-robin into the per-shard shape
+// partition splits records round-robin into the per-shard parts
 // AppendBatch takes. Any deterministic partition works: replay order
 // is canonicalized downstream.
 func partition(recs []record.ViewRecord, shards int) [][]record.ViewRecord {
@@ -50,9 +55,6 @@ func partition(recs []record.ViewRecord, shards int) [][]record.ViewRecord {
 func openLog(t *testing.T, dir string, opts Options) *Log {
 	t.Helper()
 	opts.Dir = dir
-	if opts.Shards == 0 {
-		opts.Shards = 4
-	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.NewManual(simclock.StudyStart)
 	}
@@ -94,11 +96,31 @@ func canonBytes(t *testing.T, recs []record.ViewRecord) []byte {
 
 func segmentFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*", "seg-*.wal"))
+	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return paths
+}
+
+// segmentRecords counts the segment records (log entries) on disk.
+func segmentRecords(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	for _, p := range segmentFiles(t, dir) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn, err := DecodeSegment(data, nil, func(uint64, []record.ViewRecord) error {
+			n++
+			return nil
+		})
+		if err != nil || torn != nil {
+			t.Fatalf("%s: torn %v, err %v", p, torn, err)
+		}
+	}
+	return n
 }
 
 func checkpointFiles(t *testing.T, dir string) []string {
@@ -116,9 +138,18 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	l := openLog(t, dir, Options{Policy: PolicyBatch, Metrics: reg})
 	recs := genRecords(1000)
 	for lo := 0; lo < len(recs); lo += 100 {
+		before := reg.Snapshot().Counters["wal_fsync_total"]
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 4), 0); err != nil {
 			t.Fatal(err)
 		}
+		// A batch is one record and, under PolicyBatch, one fsync, no
+		// matter how many shard parts it carries.
+		if n := reg.Snapshot().Counters["wal_fsync_total"] - before; n != 1 {
+			t.Fatalf("4-part batch took %d fsyncs, want 1", n)
+		}
+	}
+	if n := segmentRecords(t, dir); n != 10 {
+		t.Fatalf("10 batches wrote %d segment records, want 10", n)
 	}
 	got, stats := replayAll(t, l)
 	if stats.SegmentRecords != 1000 || stats.CheckpointRecords != 0 {
@@ -131,8 +162,105 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if snap.Counters["wal_appended_total"] != 1000 || snap.Counters["wal_replayed_total"] != 1000 {
 		t.Fatalf("counters = %v", snap.Counters)
 	}
-	if snap.Counters["wal_fsync_total"] == 0 {
-		t.Fatal("PolicyBatch appended without fsyncing")
+}
+
+// TestLargeBatchSpansRecords: a batch over recordCap view records is
+// split across consecutive records, each holding at most recordCap,
+// and replays whole.
+func TestLargeBatchSpansRecords(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, Options{Policy: PolicyOff})
+	recs := genRecords(2*recordCap + 1000)
+	if err := l.AppendBatch(partition(recs, 3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := segmentRecords(t, dir); n != 3 {
+		t.Fatalf("%d-record batch wrote %d segment records, want 3", len(recs), n)
+	}
+	if got := l.Bounds(); !slices.Equal(got, []uint64{3}) {
+		t.Fatalf("bounds = %v, want [3]", got)
+	}
+	got, _ := replayAll(t, l)
+	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
+		t.Fatal("spanning batch did not replay whole")
+	}
+}
+
+// TestFailedAppendReplaysNothingOfTheBatch: a batch whose write fails
+// is rejected, and none of it comes back on replay — the record is the
+// batch's single commit point, so no part of a rejected batch survives
+// to be counted twice when the client retries.
+func TestFailedAppendReplaysNothingOfTheBatch(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir, Options{Policy: PolicyBatch})
+	recs := genRecords(200)
+	if err := l.AppendBatch(partition(recs[:100], 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Close the active segment's handle under the log so the next
+	// write fails.
+	l.mu.Lock()
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	if err := l.AppendBatch(partition(recs[100:], 2), 0); err == nil {
+		t.Fatal("append to a closed segment handle succeeded")
+	}
+	_ = l.Close() // the handle is already closed; only the replay matters
+
+	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
+	got, _ := replayAll(t, l2)
+	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs[:100])) {
+		t.Fatalf("replay delivered %d records, want exactly the first batch's 100", len(got))
+	}
+}
+
+// TestOpenRefusesPerShardLayout: a directory an older per-shard build
+// wrote — shard subdirectories, or a version-1 checkpoint — is refused
+// with an error naming the path and the migration, never misread.
+func TestOpenRefusesPerShardLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		layout func(t *testing.T, dir string) string
+	}{
+		{"shard directory", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, "shard-0000")
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+		{"version-1 checkpoint", func(t *testing.T, dir string) string {
+			img, err := encodeCheckpoint(1, genRecords(10), 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Re-stamp the version and the whole-file CRC: a CRC-valid
+			// checkpoint whose only fault is its version.
+			img[4] = 1
+			img = binary.LittleEndian.AppendUint32(img[:len(img)-4], crc32.Checksum(img[:len(img)-4], castagnoli))
+			path := filepath.Join(dir, "checkpoint-0000000000000000.ckpt")
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := tc.layout(t, dir)
+			l, err := Open(Options{Dir: dir, Clock: simclock.NewManual(simclock.StudyStart)})
+			if err == nil {
+				_ = l.Close()
+				t.Fatal("Open accepted a per-shard layout")
+			}
+			for _, want := range []string{path, "-dump", "-load"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("Open error %q does not mention %q", err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -176,7 +304,7 @@ func TestReopenContinuesSequences(t *testing.T) {
 	}
 
 	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
-	if got := l2.Bounds(); !boundsEqual(got, before) {
+	if got := l2.Bounds(); !slices.Equal(got, before) {
 		t.Fatalf("reopen bounds = %v, want %v", got, before)
 	}
 	more := genRecords(100)
@@ -207,10 +335,11 @@ func TestCommitCheckpointsAndTruncates(t *testing.T) {
 	if ckpts := checkpointFiles(t, dir); len(ckpts) != 1 {
 		t.Fatalf("checkpoints = %v, want exactly one", ckpts)
 	}
-	// One AppendBatch = one log entry per non-empty shard part; the
-	// truncation counter counts entries (sequences), not view records.
-	if n := reg.Snapshot().Counters["wal_truncated_total"]; n != 4 {
-		t.Fatalf("wal_truncated_total = %d, want 4 entries", n)
+	// One AppendBatch = one log entry, however many shard parts it
+	// carries; the truncation counter counts entries (sequences), not
+	// view records.
+	if n := reg.Snapshot().Counters["wal_truncated_total"]; n != 1 {
+		t.Fatalf("wal_truncated_total = %d, want 1 entry", n)
 	}
 
 	// An idle commit (same bounds) must not rewrite the checkpoint.
@@ -265,7 +394,7 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 	// take its sequence floor from the checkpoint, or fresh appends
 	// would be filtered as checkpoint-covered on the next replay.
 	l2 := openLog(t, dir, Options{Policy: PolicyBatch})
-	if got := l2.Bounds(); !boundsEqual(got, before) {
+	if got := l2.Bounds(); !slices.Equal(got, before) {
 		t.Fatalf("reopen bounds = %v, want %v", got, before)
 	}
 	more := genRecords(150)
@@ -284,7 +413,7 @@ func TestCommitBoundsSurviveReopen(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation on nearly every append.
-	l := openLog(t, dir, Options{Shards: 2, Policy: PolicyOff, SegmentBytes: 1024})
+	l := openLog(t, dir, Options{Policy: PolicyOff, SegmentBytes: 1024})
 	recs := genRecords(2000)
 	for lo := 0; lo < len(recs); lo += 100 {
 		if err := l.AppendBatch(partition(recs[lo:lo+100], 2), 0); err != nil {
@@ -297,35 +426,6 @@ func TestSegmentRotation(t *testing.T) {
 	got, _ := replayAll(t, l)
 	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
 		t.Fatal("multi-segment replay is not the appended multiset")
-	}
-}
-
-func TestShardCountShrinkReplaysStaleDirs(t *testing.T) {
-	dir := t.TempDir()
-	l := openLog(t, dir, Options{Shards: 8, Policy: PolicyBatch})
-	recs := genRecords(640)
-	if err := l.AppendBatch(partition(recs, 8), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen narrower: shards 4..7 become stale directories. Their
-	// records still replay, and the first commit retires them.
-	l2 := openLog(t, dir, Options{Shards: 4, Policy: PolicyBatch})
-	got, _ := replayAll(t, l2)
-	if !bytes.Equal(canonBytes(t, got), canonBytes(t, recs)) {
-		t.Fatal("stale shard directories were not replayed")
-	}
-	if err := l2.Commit(1, got, l2.Bounds(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if dirs, _ := filepath.Glob(filepath.Join(dir, "shard-000[4-7]")); len(dirs) != 0 {
-		t.Fatalf("stale shard dirs survive a commit: %v", dirs)
-	}
-	got2, _ := replayAll(t, l2)
-	if !bytes.Equal(canonBytes(t, got2), canonBytes(t, recs)) {
-		t.Fatal("post-commit replay lost stale-shard records")
 	}
 }
 
